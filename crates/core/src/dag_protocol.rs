@@ -21,13 +21,14 @@
 
 use crate::event::{Event, EventId};
 use crate::exec::{Exec, ExecProtocol};
+use crate::labels::Labels;
 use crate::message::DaMsg;
 use crate::multi_super::{plan_multi_dissemination, MultiSuperTables};
 use crate::params::TopicParams;
 use crate::tables::SuperEntry;
 use crate::DaError;
 use da_membership::static_init::static_topic_tables;
-use da_simnet::{derive_seed, rng_from_seed, Ctx, ProcessId, Protocol};
+use da_simnet::{derive_seed, rng_from_seed, Ctx, FxBuildHasher, ProcessId, Protocol};
 use da_topics::dag::TopicDag;
 use da_topics::TopicId;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -69,14 +70,13 @@ pub struct DagProcess {
     group_size: usize,
     topic_table: Vec<ProcessId>,
     supers: MultiSuperTables,
-    seen: HashSet<EventId>,
+    seen: HashSet<EventId, FxBuildHasher>,
     delivered: Vec<Event>,
     parasite_count: u64,
     pending_publish: Vec<Event>,
     next_sequence: u64,
-    label_intra: String,
-    label_inter: String,
-    label_delivered: String,
+    /// Counter labels shared by every process of this topic.
+    labels: Arc<Labels>,
 }
 
 impl DagProcess {
@@ -96,7 +96,7 @@ impl DagProcess {
         for entry in super_entries {
             supers.insert(entry, &mut rng);
         }
-        let name = dag.name(topic).to_owned();
+        let labels = Labels::shared("dag", dag.name(topic));
         DagProcess {
             me,
             topic,
@@ -105,14 +105,12 @@ impl DagProcess {
             group_size,
             topic_table,
             supers,
-            seen: HashSet::new(),
+            seen: HashSet::default(),
             delivered: Vec::new(),
             parasite_count: 0,
             pending_publish: Vec::new(),
             next_sequence: 0,
-            label_intra: format!("dag.intra.{name}"),
-            label_inter: format!("dag.inter_out.{name}"),
-            label_delivered: format!("dag.delivered.{name}"),
+            labels,
         }
     }
 
@@ -146,10 +144,10 @@ impl DagProcess {
         &self.delivered
     }
 
-    /// True when `id` was delivered here.
+    /// True when `id` was ever delivered here.
     #[must_use]
     pub fn has_delivered(&self, id: EventId) -> bool {
-        self.delivered.iter().any(|e| e.id() == id)
+        self.seen.contains(&id)
     }
 
     /// Parasite receptions (events outside this process' interest cone).
@@ -190,7 +188,7 @@ impl DagProcess {
             ctx.rng(),
         );
         for entry in &plan.super_targets {
-            ctx.bump(&self.label_inter);
+            ctx.bump(&self.labels.inter_out);
             ctx.send(
                 entry.pid,
                 DaMsg::Event {
@@ -200,7 +198,7 @@ impl DagProcess {
             );
         }
         for &target in &plan.gossip_targets {
-            ctx.bump(&self.label_intra);
+            ctx.bump(&self.labels.intra);
             ctx.send(
                 target,
                 DaMsg::Event {
@@ -229,7 +227,7 @@ impl ExecProtocol for DagProcess {
             ctx.bump("dag.duplicate");
             return;
         }
-        ctx.bump(&self.label_delivered);
+        ctx.bump(&self.labels.delivered);
         self.delivered.push(event.clone());
         self.disseminate(&event, ctx);
     }
@@ -238,7 +236,7 @@ impl ExecProtocol for DagProcess {
         let publishes = std::mem::take(&mut self.pending_publish);
         for event in publishes {
             if self.seen.insert(event.id()) {
-                ctx.bump(&self.label_delivered);
+                ctx.bump(&self.labels.delivered);
                 self.delivered.push(event.clone());
             }
             self.disseminate(&event, ctx);

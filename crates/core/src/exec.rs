@@ -49,6 +49,12 @@ pub trait Exec {
     fn rng(&mut self) -> &mut SmallRng;
 
     /// Increments the metrics counter `label` by one.
+    ///
+    /// Pass long-lived label strings, shared by every process that
+    /// counts under the label (e.g. one interned set per topic), and
+    /// never a string formatted per call: the registry resolves a label
+    /// it has seen at the same address in O(1), and falls back to
+    /// hashing its bytes for any other string.
     fn bump(&mut self, label: &str);
 
     /// Adds `delta` to the metrics counter `label`.

@@ -77,6 +77,7 @@ mod dissemination;
 mod error;
 mod event;
 mod exec;
+mod labels;
 mod maintenance;
 mod message;
 mod metro;

@@ -29,48 +29,18 @@ use crate::bootstrap::{BootstrapAction, BootstrapTask};
 use crate::dissemination::plan_dissemination;
 use crate::event::{Event, EventId};
 use crate::exec::{Exec, ExecProtocol};
+use crate::labels::Labels;
 use crate::maintenance::{MaintenanceAction, MaintenanceTask};
 use crate::message::DaMsg;
 use crate::params::TopicParams;
 use crate::tables::{SuperEntry, SuperTable};
 use da_membership::{FlatMembership, MembershipParams};
 use da_simnet::mc::McHash;
-use da_simnet::{Ctx, FxHasher, Overlay, ProcessId, Protocol};
+use da_simnet::{Ctx, FxBuildHasher, FxHasher, Overlay, ProcessId, Protocol};
 use da_topics::{TopicHierarchy, TopicId};
 use std::collections::HashSet;
 use std::hash::Hasher;
 use std::sync::Arc;
-
-/// Pre-rendered counter labels for one process (the metrics hot path does
-/// string lookups; rendering `da.intra.<path>` per send would allocate).
-#[derive(Debug, Clone)]
-struct Labels {
-    /// Event messages gossiped inside the own group.
-    intra: String,
-    /// Event messages sent to supertable entries.
-    inter_out: String,
-    /// Event messages that arrived from a strict subtopic group.
-    inter_in: String,
-    /// Events delivered to the application.
-    delivered: String,
-    /// Events received more than once.
-    duplicate: String,
-    /// Control-plane messages (bootstrap, maintenance, membership).
-    control: String,
-}
-
-impl Labels {
-    fn new(topic_path: &str) -> Self {
-        Labels {
-            intra: format!("da.intra.{topic_path}"),
-            inter_out: format!("da.inter_out.{topic_path}"),
-            inter_in: format!("da.inter_in.{topic_path}"),
-            delivered: format!("da.delivered.{topic_path}"),
-            duplicate: format!("da.duplicate.{topic_path}"),
-            control: format!("da.control.{topic_path}"),
-        }
-    }
-}
 
 /// The daMulticast protocol instance at one simulated process.
 ///
@@ -116,7 +86,7 @@ pub struct DaProcess {
     /// Initial same-group contacts to join through (dynamic mode).
     join_contacts: Vec<ProcessId>,
     /// Event ids already received (the paper's "done only the first time").
-    seen: HashSet<EventId>,
+    seen: HashSet<EventId, FxBuildHasher>,
     /// Events delivered to the application, in delivery order.
     delivered: Vec<Event>,
     /// Events received for a topic this process is *not* interested in.
@@ -126,8 +96,9 @@ pub struct DaProcess {
     pending_publish: Vec<Event>,
     next_sequence: u64,
     /// Bootstrap requests already answered/forwarded: `(origin, req_id)`.
-    answered_requests: HashSet<(ProcessId, u64)>,
-    labels: Labels,
+    answered_requests: HashSet<(ProcessId, u64), FxBuildHasher>,
+    /// Counter labels shared by every process of this topic.
+    labels: Arc<Labels>,
     /// Deliberate protocol defect, [`Mutation::None`] in production.
     mutation: Mutation,
 }
@@ -190,7 +161,7 @@ impl DaProcess {
         for entry in super_entries {
             stable.insert(entry, &mut seed_rng);
         }
-        let labels = Labels::new(hierarchy.path(topic).as_str());
+        let labels = Labels::shared("da", hierarchy.path(topic).as_str());
         DaProcess {
             me,
             topic,
@@ -203,12 +174,12 @@ impl DaProcess {
             maintenance: None,
             overlay: None,
             join_contacts: Vec::new(),
-            seen: HashSet::new(),
+            seen: HashSet::default(),
             delivered: Vec::new(),
             parasite_count: 0,
             pending_publish: Vec::new(),
             next_sequence: 0,
-            answered_requests: HashSet::new(),
+            answered_requests: HashSet::default(),
             labels,
             mutation: Mutation::None,
         }
@@ -234,7 +205,7 @@ impl DaProcess {
             params.maintenance_period,
             params.ping_timeout,
         ));
-        let labels = Labels::new(hierarchy.path(topic).as_str());
+        let labels = Labels::shared("da", hierarchy.path(topic).as_str());
         DaProcess {
             me,
             topic,
@@ -247,12 +218,12 @@ impl DaProcess {
             maintenance,
             overlay: Some(overlay),
             join_contacts,
-            seen: HashSet::new(),
+            seen: HashSet::default(),
             delivered: Vec::new(),
             parasite_count: 0,
             pending_publish: Vec::new(),
             next_sequence: 0,
-            answered_requests: HashSet::new(),
+            answered_requests: HashSet::default(),
             labels,
             mutation: Mutation::None,
         }
@@ -302,10 +273,11 @@ impl DaProcess {
         &self.delivered
     }
 
-    /// True when the event has been delivered here.
+    /// True when the event has ever been delivered here — including
+    /// events since drained by [`DaProcess::take_delivered`].
     #[must_use]
     pub fn has_delivered(&self, id: EventId) -> bool {
-        self.delivered.iter().any(|e| e.id() == id)
+        self.seen.contains(&id)
     }
 
     /// Drains the delivered-event log, handing ownership to the caller —
@@ -1041,9 +1013,19 @@ mod take_delivered_tests {
         assert_eq!(drained.len(), 1);
         assert_eq!(drained[0].id(), id);
         assert!(engine.process(ProcessId(1)).delivered().is_empty());
+        assert!(
+            engine.process(ProcessId(1)).has_delivered(id),
+            "draining the log does not forget the delivery"
+        );
 
         // Re-gossip of the same event must not re-deliver after draining.
         engine.run_rounds(5);
         assert!(engine.process(ProcessId(1)).delivered().is_empty());
+        assert!(engine.process(ProcessId(1)).has_delivered(id));
+        let unknown = EventId {
+            publisher: ProcessId(3),
+            sequence: 9,
+        };
+        assert!(!engine.process(ProcessId(1)).has_delivered(unknown));
     }
 }

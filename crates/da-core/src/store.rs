@@ -12,8 +12,9 @@
 //! index → process, exactly the `Vec` it replaces) but derives RNGs
 //! lazily: [`rng_for_process`] is a pure function of `(master seed,
 //! pid)`, so the stream of a process that has never drawn does not need
-//! to exist. A slot materialises on first use and then persists, so
-//! stream *positions* are preserved exactly — the k-th draw of a
+//! to exist. A slot materialises on the first draw (hooks get a
+//! [`LazyRng`] handle, not the stream) and then persists, so stream
+//! *positions* are preserved exactly — the k-th draw of a
 //! process is identical whether its neighbours ever drew or not, and
 //! identical to the eager layout's.
 
@@ -124,11 +125,15 @@ impl<P> ProcessStore<P> {
     }
 
     /// Split borrow for the delivery/round hot path: the process at
-    /// `local` and its RNG stream, in one call, without aliasing
-    /// conflicts between the two slabs.
-    pub fn pair_mut(&mut self, local: usize, pid: ProcessId) -> (&mut P, &mut SmallRng) {
-        let seed = self.seed;
-        let rng = self.rngs[local].get_or_insert_with(|| rng_for_process(seed, pid));
+    /// `local` (the local slot of `pid`) and a [`LazyRng`] handle on its
+    /// stream, in one call, without aliasing conflicts between the two
+    /// slabs. The slot is materialised only if the hook actually draws.
+    pub fn pair_mut(&mut self, local: usize, pid: ProcessId) -> (&mut P, LazyRng<'_>) {
+        let rng = LazyRng {
+            slot: &mut self.rngs[local],
+            seed: self.seed,
+            pid,
+        };
         (&mut self.procs[local], rng)
     }
 
@@ -156,6 +161,24 @@ impl<P> ProcessStore<P> {
     #[must_use]
     pub fn into_processes(self) -> Vec<P> {
         self.procs
+    }
+}
+
+/// A borrowed handle on one process's RNG slot that derives the stream
+/// on the first [`LazyRng::get`], so a hook that never draws leaves the
+/// slot empty.
+#[derive(Debug)]
+pub struct LazyRng<'a> {
+    slot: &'a mut Option<SmallRng>,
+    seed: u64,
+    pid: ProcessId,
+}
+
+impl LazyRng<'_> {
+    /// The process's RNG stream, materialising the slot on first use.
+    pub fn get(&mut self) -> &mut SmallRng {
+        let (seed, pid) = (self.seed, self.pid);
+        self.slot.get_or_insert_with(|| rng_for_process(seed, pid))
     }
 }
 
@@ -212,9 +235,16 @@ mod tests {
     fn pair_mut_splits_the_borrow() {
         let mut store: ProcessStore<Vec<u64>> = ProcessStore::new(1);
         store.push(Vec::new());
-        let (proc_state, rng) = store.pair_mut(0, ProcessId(0));
-        proc_state.push(rng.gen());
+        store.push(Vec::new());
+        let (proc_state, mut rng) = store.pair_mut(0, ProcessId(0));
+        proc_state.push(rng.get().gen());
         assert_eq!(store.get(0).len(), 1);
+        assert_eq!(store.rng_resident(), 1, "the draw materialised slot 0");
+        let (proc_state, _rng) = store.pair_mut(1, ProcessId(1));
+        proc_state.push(0);
+        assert_eq!(store.rng_resident(), 1, "no draw, no slot");
+        let mut eager = rng_for_process(1, ProcessId(0));
+        assert_eq!(store.get(0)[0], eager.gen::<u64>());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! membership algorithm").
 
 use crate::{kmg_view_size, MembershipMsg, PartialView};
-use da_simnet::ProcessId;
+use da_simnet::{FxBuildHasher, ProcessId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -71,7 +71,9 @@ pub struct FlatMembership {
     me: ProcessId,
     params: MembershipParams,
     view: PartialView,
-    last_heard: HashMap<ProcessId, u64>,
+    /// Round each view member was last heard from — eviction's only
+    /// input, so left empty when `eviction_age` is `u64::MAX`.
+    last_heard: HashMap<ProcessId, u64, FxBuildHasher>,
 }
 
 impl FlatMembership {
@@ -83,7 +85,7 @@ impl FlatMembership {
             me,
             params,
             view: PartialView::new(me, capacity),
-            last_heard: HashMap::new(),
+            last_heard: HashMap::default(),
         }
     }
 
@@ -175,9 +177,12 @@ impl FlatMembership {
         }
     }
 
-    /// Records liveness evidence for `pid` at `round`.
+    /// Records liveness evidence for `pid` at `round`. A component that
+    /// never evicts (`eviction_age == u64::MAX`, e.g. the paper's static
+    /// mode) records nothing: [`FlatMembership::evict_stale`] is the only
+    /// reader and could never act on it.
     pub fn mark_heard(&mut self, pid: ProcessId, round: u64) {
-        if pid != self.me {
+        if pid != self.me && self.params.eviction_age != u64::MAX {
             self.last_heard.insert(pid, round);
         }
     }
@@ -320,6 +325,29 @@ mod tests {
         let mut m = m0;
         m.evict_stale(1_000_000);
         assert_eq!(m.view().len(), 2, "never-heard static seeds persist");
+    }
+
+    #[test]
+    fn never_evicting_component_records_no_liveness() {
+        let mut rng = rng_from_seed(9);
+        let never = MembershipParams {
+            eviction_age: u64::MAX,
+            ..params()
+        };
+        let mut m =
+            FlatMembership::with_static_view(ProcessId(0), never, &[ProcessId(1)], &mut rng);
+        m.mark_heard(ProcessId(1), 3);
+        m.on_message(
+            ProcessId(2),
+            &MembershipMsg::Digest {
+                sample: vec![ProcessId(3)],
+            },
+            4,
+            &mut rng,
+        );
+        assert!(m.last_heard.is_empty(), "no reader, no write");
+        m.evict_stale(u64::MAX);
+        assert_eq!(m.view().len(), 3, "and nothing is ever evicted");
     }
 
     #[test]

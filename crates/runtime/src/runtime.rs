@@ -42,7 +42,7 @@ use crate::transport::{lane_matrix, EdgeInbox, EdgeWatermarks, Envelope, FaultyR
 use crate::wheel::DelayWheel;
 use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use da_core::process::ProcessIndexError;
-use da_core::store::ProcessStore;
+use da_core::store::{LazyRng, ProcessStore};
 use da_core::trace::{TraceEvent, TraceVerdict};
 use da_simnet::{CounterId, Counters, ProcessId, ProcessStatus, TraceLog, WireSize};
 use damulticast::{Exec, ExecProtocol};
@@ -115,7 +115,9 @@ struct SchedulerState {
 struct LiveCtx<'a, M> {
     me: ProcessId,
     tick: u64,
-    rng: &'a mut SmallRng,
+    /// Derived on the first draw: a hook that never draws leaves the
+    /// process's RNG slot empty.
+    rng: LazyRng<'a>,
     counters: &'a mut Counters,
     ids: &'a HotIds,
     router: &'a mut FaultyRouter<M>,
@@ -176,7 +178,7 @@ impl<M: WireSize> Exec for LiveCtx<'_, M> {
     }
 
     fn rng(&mut self) -> &mut SmallRng {
-        self.rng
+        self.rng.get()
     }
 
     fn bump(&mut self, label: &str) {
@@ -297,6 +299,10 @@ impl PartialTick {
     }
 }
 
+/// What a worker thread hands back when it stops: its processes tagged
+/// with pid and final liveness, and how many RNG streams it materialised.
+type WorkerExit<P> = (Vec<(ProcessId, P, ProcessStatus)>, usize);
+
 /// One worker thread: owns a stripe of processes (`pid ≡ id mod stride`),
 /// their RNG streams, its [`EdgeInbox`] (the consumer column of the lane
 /// matrix), its outgoing [`FaultyRouter`] (wrapping its hub row, with
@@ -403,7 +409,7 @@ where
     /// The worker main loop: execute every granted-and-gated tick, park
     /// when the horizon is exhausted, stop on command — after finishing
     /// any ticks already granted, so the stop point is deterministic.
-    fn run(mut self) -> Vec<(ProcessId, P, ProcessStatus)> {
+    fn run(mut self) -> WorkerExit<P> {
         let mut stopping = false;
         'main: loop {
             while self.next_tick < self.sched.horizon.load(Ordering::SeqCst) {
@@ -443,7 +449,9 @@ where
         }
         let (id, stride) = (self.id, self.stride);
         let lifecycle = self.lifecycle;
-        self.store
+        let rng_resident = self.store.rng_resident();
+        let processes = self
+            .store
             .into_processes()
             .into_iter()
             .enumerate()
@@ -454,7 +462,8 @@ where
                     lifecycle.status(i),
                 )
             })
-            .collect()
+            .collect();
+        (processes, rng_resident)
     }
 
     /// Tick-boundary trace publish: samples how far this worker's clock
@@ -581,16 +590,16 @@ where
         queued: &mut u64,
     ) -> bool {
         let local = self.local_index(env.to);
-        let size = env.msg.wire_size() as u64;
         // Delivery-point verdicts stamp the delivery tick — the moment
-        // the envelope's fate resolved, as on the simulator.
+        // the envelope's fate resolved, as on the simulator. Only the
+        // trace reads the wire size, so it is computed only when tracing.
         let verdict = |trace: &mut Option<WorkerTrace>, v: TraceVerdict| {
             if let Some(trace) = trace.as_mut() {
                 trace.recorder.record(TraceEvent {
                     tick,
                     from: env.from,
                     to: env.to,
-                    payload: size,
+                    payload: env.msg.wire_size() as u64,
                     verdict: v,
                 });
             }
@@ -821,7 +830,7 @@ where
 pub struct Runtime<P: ExecProtocol> {
     controls: Vec<Sender<Control<P>>>,
     reports: Receiver<WorkerReport>,
-    handles: Vec<JoinHandle<Vec<(ProcessId, P, ProcessStatus)>>>,
+    handles: Vec<JoinHandle<WorkerExit<P>>>,
     counters: Arc<ShardedCounters>,
     /// Shared flight-recorder sink — `None` when tracing is off.
     trace: Option<Arc<TraceSink>>,
@@ -860,6 +869,10 @@ pub struct Shutdown<P> {
     /// Canonicalize the events before comparing against another
     /// substrate's stream.
     pub trace: Option<TraceLog>,
+    /// Per-process RNG streams the pool materialised — the live
+    /// counterpart of `Engine::rng_resident`. A stream is derived on a
+    /// process's first draw, never by a hook that does not draw.
+    pub rng_resident: usize,
 }
 
 impl<P> Runtime<P>
@@ -1264,11 +1277,13 @@ where
         for control in &self.controls {
             let _ = control.send(Control::Stop);
         }
-        let mut tagged: Vec<(ProcessId, P, ProcessStatus)> = self
-            .handles
-            .drain(..)
-            .flat_map(|h| h.join().expect("runtime worker panicked"))
-            .collect();
+        let mut tagged: Vec<(ProcessId, P, ProcessStatus)> = Vec::with_capacity(self.population);
+        let mut rng_resident = 0;
+        for handle in self.handles.drain(..) {
+            let (processes, resident) = handle.join().expect("runtime worker panicked");
+            tagged.extend(processes);
+            rng_resident += resident;
+        }
         tagged.sort_by_key(|(pid, _, _)| *pid);
         let mut processes = Vec::with_capacity(tagged.len());
         let mut statuses = Vec::with_capacity(tagged.len());
@@ -1281,6 +1296,7 @@ where
             statuses,
             counters: self.counters.merged(),
             trace: self.trace.as_ref().map(|sink| sink.merged()),
+            rng_resident,
         }
     }
 }

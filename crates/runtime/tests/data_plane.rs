@@ -17,19 +17,29 @@ use da_core::channel::ChannelConfig;
 use da_runtime::{lane_matrix, Envelope, FaultyRouter};
 use da_simnet::ProcessId;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::sync::Arc;
+
+thread_local! {
+    /// Set while this thread runs a measured closure. The allocator is
+    /// process-global and libtest's other threads allocate concurrently,
+    /// so only the measuring thread's allocations may count.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+    /// Allocations this thread made while `MEASURING` was set.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Forwards to the system allocator, counting every allocation (and
 /// every growth-reallocation, via the default `realloc` calling back
-/// into `alloc`).
+/// into `alloc`) made by a thread inside [`allocations_during`].
 struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // `try_with`: thread-local teardown must not abort the allocator.
+        if MEASURING.try_with(Cell::get).unwrap_or(false) {
+            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        }
         unsafe { System.alloc(layout) }
     }
 
@@ -41,13 +51,27 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// The allocation counter is process-global, so the measuring test must
-/// not overlap any other test in this binary.
-static SERIAL: Mutex<()> = Mutex::new(());
+/// Runs `f` and returns how many allocations the calling thread made
+/// inside it.
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    MEASURING.with(|m| m.set(true));
+    f();
+    MEASURING.with(|m| m.set(false));
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+#[test]
+fn the_counting_allocator_catches_an_allocation_in_the_measured_closure() {
+    let caught = allocations_during(|| {
+        std::hint::black_box(Vec::<u64>::with_capacity(16));
+    });
+    assert!(caught >= 1, "an allocation inside the window must count");
+    assert_eq!(allocations_during(|| {}), 0, "an empty window counts none");
+}
 
 #[test]
 fn steady_state_ticks_allocate_nothing_on_the_data_plane() {
-    let _guard = SERIAL.lock().unwrap();
     const WORKERS: usize = 2;
     const FANOUT: u32 = 8;
 
@@ -76,11 +100,11 @@ fn steady_state_ticks_allocate_nothing_on_the_data_plane() {
         run_tick(tick);
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for tick in 100..1100 {
-        run_tick(tick);
-    }
-    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let delta = allocations_during(|| {
+        for tick in 100..1100 {
+            run_tick(tick);
+        }
+    });
     assert_eq!(
         delta, 0,
         "1000 steady-state ticks must not touch the allocator"
@@ -92,8 +116,6 @@ fn steady_state_ticks_allocate_nothing_on_the_data_plane() {
 
 #[test]
 fn batch_pool_balances_taken_and_returned_including_mid_flight_stop() {
-    let _guard = SERIAL.lock().unwrap();
-
     // Full round trips: every buffer taken from the pool is back at
     // rest after the consumer drains and the return lane is reclaimed.
     let (mut hubs, mut inboxes) = lane_matrix::<u64>(2, 8);

@@ -9,7 +9,7 @@ use crate::strategy::{DueMessage, RngStrategy, Strategy};
 use crate::wire::WireSize;
 use da_core::channel::ChannelConfig;
 use da_core::fault::FaultConfig;
-use da_core::store::ProcessStore;
+use da_core::store::{LazyRng, ProcessStore};
 use da_core::topology::{NetFate, NetworkModel, PartitionSchedule, Topology};
 use da_core::trace::{TraceConfig, TraceEvent, TraceRecorder, TraceVerdict};
 use rand::rngs::SmallRng;
@@ -148,7 +148,9 @@ impl SimConfig {
 pub struct Ctx<'a, M> {
     me: ProcessId,
     round: u64,
-    rng: &'a mut SmallRng,
+    /// Derived on the first draw: a hook that never draws leaves the
+    /// process's RNG slot empty.
+    rng: LazyRng<'a>,
     counters: &'a mut Counters,
     outbox: &'a mut Vec<(ProcessId, M)>,
 }
@@ -174,7 +176,7 @@ impl<M> Ctx<'_, M> {
 
     /// The deterministic RNG stream of this process.
     pub fn rng(&mut self) -> &mut SmallRng {
-        self.rng
+        self.rng.get()
     }
 
     /// The shared metrics registry.
@@ -359,6 +361,14 @@ impl<P: Protocol> Engine<P> {
             .iter()
             .enumerate()
             .map(|(i, p)| (ProcessId::from_index(i), p))
+    }
+
+    /// Number of per-process RNG streams materialised so far: a stream
+    /// is derived on a process's first draw, never by a hook that does
+    /// not draw.
+    #[must_use]
+    pub fn rng_resident(&self) -> usize {
+        self.store.rng_resident()
     }
 
     /// Consumes the engine, returning the protocol instances.

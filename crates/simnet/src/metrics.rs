@@ -3,11 +3,12 @@
 //!
 //! Protocols label their traffic (e.g. `intra.t2`, `inter.t2->t1`) and the
 //! harness reads the counters back after a run. Counter names are interned
-//! to [`CounterId`]s so the per-message hot path is an array increment;
-//! name-keyed lookups ([`Counters::register`], [`Counters::bump`]) go
-//! through an FxHash-indexed map, so even the lazy label path costs a
-//! multiply-xor hash rather than SipHash — the interned-label API both
-//! substrates share.
+//! to [`CounterId`]s so the per-message hot path is an array increment.
+//! Name-keyed lookups ([`Counters::register`], [`Counters::bump`]) first
+//! try a small direct-mapped cache keyed by the label's address and
+//! length, so a long-lived label string costs one slot probe and a byte
+//! compare; only a cache miss hashes the label into the FxHash-indexed
+//! map — the interned-label API both substrates share.
 //!
 //! [`Histogram`] is the distribution-shaped companion to the counters
 //! (delivery latency in ticks, delay-wheel occupancy, watermark lag):
@@ -33,7 +34,7 @@ pub struct FxHasher {
 }
 
 impl FxHasher {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+    pub(crate) const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
     fn mix(&mut self, word: u64) {
         self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
@@ -69,7 +70,67 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CounterId(u32);
 
+/// Slots in the [`Counters`] label cache (a power of two). A protocol's
+/// hot label set is a few dozen shared strings, so 256 direct-mapped
+/// slots keep collisions rare at 4 KiB per registry.
+const LABEL_CACHE_SLOTS: usize = 256;
+
+/// One label cache slot: the address and length of a label `&str` seen
+/// before, and the id it resolved to. `addr == 0` marks an empty slot (a
+/// `&str` never points at address 0). The length is kept as `u32` so a
+/// slot packs into 16 bytes; a truncated length only costs a miss or a
+/// failed byte compare, never a wrong id.
+#[derive(Debug, Clone, Copy)]
+struct LabelSlot {
+    addr: usize,
+    len: u32,
+    id: CounterId,
+}
+
+impl LabelSlot {
+    const EMPTY: LabelSlot = LabelSlot {
+        addr: 0,
+        len: 0,
+        id: CounterId(0),
+    };
+}
+
+/// Direct-mapped cache from a label's `(address, length)` to its
+/// [`CounterId`]. An address is only a hint: every hit is confirmed by
+/// comparing the label's bytes with the registered name, so a freed and
+/// reused (or mutated-in-place) string can never resolve to another
+/// label's counter.
+#[derive(Clone)]
+struct LabelCache {
+    slots: [LabelSlot; LABEL_CACHE_SLOTS],
+}
+
+impl Default for LabelCache {
+    fn default() -> Self {
+        LabelCache {
+            slots: [LabelSlot::EMPTY; LABEL_CACHE_SLOTS],
+        }
+    }
+}
+
+impl fmt::Debug for LabelCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("LabelCache { .. }")
+    }
+}
+
+impl LabelCache {
+    fn slot_of(addr: usize, len: u32) -> usize {
+        let key = addr as u64 ^ u64::from(len).rotate_left(48);
+        (key.wrapping_mul(FxHasher::SEED) >> (64 - LABEL_CACHE_SLOTS.trailing_zeros())) as usize
+    }
+}
+
 /// A registry of named monotonic counters.
+///
+/// Labels are best long-lived and shared — one `&str` per label, reused
+/// on every call — so [`Counters::register`] and [`Counters::bump`] hit
+/// the address-keyed label cache instead of hashing the label bytes.
 ///
 /// ```
 /// use da_simnet::Counters;
@@ -85,6 +146,8 @@ pub struct Counters {
     values: Vec<u64>,
     names: Vec<String>,
     index: HashMap<String, CounterId, FxBuildHasher>,
+    #[serde(skip)]
+    cache: LabelCache,
 }
 
 impl Counters {
@@ -95,14 +158,31 @@ impl Counters {
     }
 
     /// Registers (or looks up) a counter by name, returning its id.
+    ///
+    /// A label string seen before at the same address resolves through
+    /// the label cache in O(1), without hashing; any other call falls
+    /// back to the FxHash index and refreshes the cache slot.
     pub fn register(&mut self, name: &str) -> CounterId {
-        if let Some(&id) = self.index.get(name) {
-            return id;
+        let (addr, len) = (name.as_ptr() as usize, name.len() as u32);
+        let slot = LabelCache::slot_of(addr, len);
+        let cached = self.cache.slots[slot];
+        if cached.addr == addr
+            && cached.len == len
+            && self.names[cached.id.0 as usize].as_bytes() == name.as_bytes()
+        {
+            return cached.id;
         }
-        let id = CounterId(u32::try_from(self.values.len()).expect("too many counters"));
-        self.values.push(0);
-        self.names.push(name.to_owned());
-        self.index.insert(name.to_owned(), id);
+        let id = match self.index.get(name) {
+            Some(&id) => id,
+            None => {
+                let id = CounterId(u32::try_from(self.values.len()).expect("too many counters"));
+                self.values.push(0);
+                self.names.push(name.to_owned());
+                self.index.insert(name.to_owned(), id);
+                id
+            }
+        };
+        self.cache.slots[slot] = LabelSlot { addr, len, id };
         id
     }
 
@@ -590,6 +670,30 @@ mod tests {
         c.bump("a");
         let names: Vec<&str> = c.iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["z", "a"]);
+    }
+
+    #[test]
+    fn label_mutated_in_place_resolves_to_its_own_counter() {
+        let mut c = Counters::new();
+        let other = c.register("x.b");
+        let mut label = String::from("x.a");
+        let mine = c.register(&label);
+        c.bump(&label); // cached by (address, length)
+        let addr = label.as_ptr();
+        label.replace_range(2..3, "b");
+        assert_eq!(label.as_ptr(), addr, "same address");
+        assert_eq!(label.len(), 3, "same length");
+        assert_eq!(c.register(&label), other, "new bytes, other label");
+        c.bump(&label);
+        label.replace_range(2..3, "c");
+        assert_eq!(label.as_ptr(), addr);
+        c.bump(&label);
+        assert_eq!(c.value(mine), 1);
+        assert_eq!(c.get("x.a"), 1);
+        assert_eq!(c.get("x.b"), 1);
+        assert_eq!(c.get("x.c"), 1, "an unseen label still registers");
+        let names: Vec<&str> = c.iter().map(|(n, _)| n).collect();
+        assert_eq!(names, vec!["x.b", "x.a", "x.c"]);
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! configurations.
 
 use da_simnet::{
-    ChannelConfig, Ctx, Engine, FailureModel, Overlay, ProcessId, Protocol, SimConfig, WireSize,
+    ChannelConfig, CounterId, Counters, Ctx, Engine, FailureModel, Overlay, ProcessId, Protocol,
+    SimConfig, WireSize,
 };
 use proptest::prelude::*;
 use rand::Rng as _;
+use std::collections::HashMap;
 
 /// A protocol that floods: every process sends one message to a random
 /// peer each round and counts receipts.
@@ -220,5 +222,58 @@ proptest! {
             e.counters().get("sim.delivered") >= e.counters().get("sim.sent")
                 .saturating_sub(e.in_flight() as u64 + 200),
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The label cache is invisible: random `register`/`bump`/`add_named`
+    /// calls over long-lived shared labels and short-lived owned copies
+    /// (whose freed addresses get reused by other labels of the same
+    /// length) leave exactly the values and registration order of a
+    /// plain name-keyed model.
+    #[test]
+    fn label_cache_matches_a_name_keyed_model(
+        ops in prop::collection::vec((0u8..3, 0usize..12, any::<bool>(), 0u64..100), 0..300),
+    ) {
+        let shared: Vec<String> = (0..12).map(|i| format!("lbl.{i:02}")).collect();
+        let mut counters = Counters::new();
+        let mut order: Vec<String> = Vec::new();
+        let mut model: HashMap<String, (CounterId, u64)> = HashMap::new();
+        for (op, which, owned, delta) in ops {
+            let owned_label;
+            let label: &str = if owned {
+                owned_label = shared[which].clone();
+                &owned_label
+            } else {
+                &shared[which]
+            };
+            let delta = match op {
+                0 => 0,
+                1 => 1,
+                _ => delta,
+            };
+            let id = match op {
+                0 => counters.register(label),
+                1 => {
+                    counters.bump(label);
+                    counters.register(label)
+                }
+                _ => {
+                    counters.add_named(label, delta);
+                    counters.register(label)
+                }
+            };
+            let entry = model.entry(label.to_owned()).or_insert_with(|| {
+                order.push(label.to_owned());
+                (id, 0)
+            });
+            prop_assert_eq!(entry.0, id, "a label keeps its id");
+            entry.1 += delta;
+        }
+        let got: Vec<(String, u64)> = counters.iter().map(|(n, v)| (n.to_owned(), v)).collect();
+        let want: Vec<(String, u64)> = order.iter().map(|n| (n.clone(), model[n].1)).collect();
+        prop_assert_eq!(got, want);
     }
 }
