@@ -23,13 +23,21 @@
 //! single-threaded simulator and on any worker striping of the live
 //! pool.
 //!
+//! Both substrates apply churn through one kernel,
+//! [`FailurePlan::churn_sweep`], which walks a stripe of statuses once
+//! per round. A draw keeps the hash's top 53 bits `k` and flips when
+//! `k < ⌈p·2⁵³⌉`, an integer threshold fixed when the plan is
+//! materialised. This is exactly the float test `k·2⁻⁵³ < p` (for an
+//! integer `k`, `k < p·2⁵³ ⇔ k < ⌈p·2⁵³⌉`, and every quantity involved
+//! is exact in `f64`), so the fates are bit-identical to a float draw.
+//!
 //! The draw order within [`FailureModel::materialize`] is pinned:
 //! stillborn selection shuffles the population on the dedicated
 //! `0xFA11` stream, per-observer sampling owns the `0x0B5E` stream, and
 //! churn hangs off the `0xC402` stream family — changing any of these
 //! silently re-rolls committed experiment numbers.
 
-use crate::process::ProcessId;
+use crate::process::{ProcessId, ProcessStatus};
 use crate::seed::{derive_seed, rng_from_seed};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -41,6 +49,9 @@ const STILLBORN_STREAM: u64 = 0xFA11;
 const OBSERVER_STREAM: u64 = 0x0B5E;
 /// Seed stream tag rooting the per-`(pid, round)` churn draws.
 const CHURN_STREAM: u64 = 0xC402;
+/// `2⁵³`: a churn draw keeps the top 53 bits of its hash, the mantissa
+/// width of an `f64` in `[0, 1)`.
+const DRAW_SCALE: f64 = (1u64 << 53) as f64;
 
 /// A scripted liveness transition used by [`FailureModel::Schedule`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -94,7 +105,15 @@ pub enum FailureModel {
 
 impl FailureModel {
     /// Materialises the model for a run over `population` processes,
-    /// deriving all randomness from `seed`.
+    /// deriving all randomness from `seed`. Probabilities outside
+    /// `[0, 1]` are clamped into it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a probability-valued field (`alive_fraction`,
+    /// `crash_probability`, `recover_probability`) is NaN, naming the
+    /// field: no clamp can give NaN a meaning, and letting it through
+    /// would crash every process or panic a worker mid-run.
     #[must_use]
     pub fn materialize(&self, population: usize, seed: u64) -> FailurePlan {
         let base = FailurePlan {
@@ -108,7 +127,7 @@ impl FailureModel {
         match self {
             FailureModel::None => base,
             FailureModel::Stillborn { alive_fraction } => {
-                let alive_fraction = alive_fraction.clamp(0.0, 1.0);
+                let alive_fraction = probability(*alive_fraction, "Stillborn::alive_fraction");
                 let mut rng = rng_from_seed(derive_seed(seed, STILLBORN_STREAM));
                 let mut ids: Vec<ProcessId> = (0..population).map(ProcessId::from_index).collect();
                 ids.shuffle(&mut rng);
@@ -122,7 +141,10 @@ impl FailureModel {
                 }
             }
             FailureModel::PerObserver { alive_fraction } => FailurePlan {
-                observer_alive_probability: Some(alive_fraction.clamp(0.0, 1.0)),
+                observer_alive_probability: Some(probability(
+                    *alive_fraction,
+                    "PerObserver::alive_fraction",
+                )),
                 observation_seed: derive_seed(seed, OBSERVER_STREAM),
                 ..base
             },
@@ -138,14 +160,24 @@ impl FailureModel {
                 crash_probability,
                 recover_probability,
             } => FailurePlan {
-                churn: Some(ChurnRates {
-                    crash: crash_probability.clamp(0.0, 1.0),
-                    recover: recover_probability.clamp(0.0, 1.0),
-                }),
+                churn: Some(Churn::new(ChurnRates {
+                    crash: probability(*crash_probability, "Churn::crash_probability"),
+                    recover: probability(*recover_probability, "Churn::recover_probability"),
+                })),
                 ..base
             },
         }
     }
+}
+
+/// Clamps a probability-valued model field into `[0, 1]`, rejecting NaN
+/// (which `clamp` would pass through) with a message naming `field`.
+fn probability(value: f64, field: &str) -> f64 {
+    assert!(
+        !value.is_nan(),
+        "FailureModel::{field} is NaN; it must be a probability in [0, 1]"
+    );
+    value.clamp(0.0, 1.0)
 }
 
 /// Per-round crash/recovery probabilities of the churn model.
@@ -155,6 +187,56 @@ pub struct ChurnRates {
     pub crash: f64,
     /// Per-round recovery probability of crashed processes.
     pub recover: f64,
+}
+
+/// Churn rates plus their integer draw thresholds, computed once per
+/// plan so the per-process draw is one hash and one integer compare.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Churn {
+    rates: ChurnRates,
+    /// An alive process crashes when its draw is below this.
+    crash_below: u64,
+    /// A crashed process recovers when its draw is below this.
+    recover_below: u64,
+}
+
+impl Churn {
+    fn new(rates: ChurnRates) -> Self {
+        Churn {
+            rates,
+            crash_below: threshold(rates.crash),
+            recover_below: threshold(rates.recover),
+        }
+    }
+
+    /// The threshold the draw of a process in state `alive` must beat.
+    #[inline]
+    fn below(&self, alive: bool) -> u64 {
+        if alive {
+            self.crash_below
+        } else {
+            self.recover_below
+        }
+    }
+}
+
+/// The integer threshold of probability `p` in `[0, 1]`: `⌈p·2⁵³⌉`.
+///
+/// A churn draw is `k = hash >> 11`, an integer below `2⁵³`, and its
+/// uniform value `k·2⁻⁵³` is exact in `f64`. For an integer `k`,
+/// `k·2⁻⁵³ < p ⇔ k < p·2⁵³ ⇔ k < ⌈p·2⁵³⌉`, and `p·2⁵³` and its ceiling
+/// are exact too (a power-of-two scaling), so comparing `k` with the
+/// threshold decides exactly what comparing the float with `p` did.
+/// `p = 0` maps to 0 (never flips) and `p = 1` to `2⁵³` (always flips).
+fn threshold(p: f64) -> u64 {
+    (p * DRAW_SCALE).ceil() as u64
+}
+
+/// The churn draw of `pid` at `round`: the top 53 bits of a stateless
+/// hash of `(churn seed, pid, round)`.
+#[inline]
+fn churn_draw(seed: u64, pid: u32, round: u64) -> u64 {
+    derive_seed(derive_seed(seed, u64::from(pid)), round) >> 11
 }
 
 /// The outcome of one process's plan transitions for one round — what
@@ -183,7 +265,7 @@ pub struct FailurePlan {
     initially_crashed: Vec<ProcessId>,
     observer_alive_probability: Option<f64>,
     schedule: Vec<Fate>,
-    churn: Option<ChurnRates>,
+    churn: Option<Churn>,
     observation_seed: u64,
     churn_seed: u64,
 }
@@ -222,12 +304,17 @@ impl FailurePlan {
     /// The churn rates, when the model is [`FailureModel::Churn`].
     #[must_use]
     pub fn churn(&self) -> Option<ChurnRates> {
-        self.churn
+        self.churn.map(|c| c.rates)
     }
 
-    /// Scripted transitions applying at the start of `round`.
-    pub fn fates_at(&self, round: u64) -> impl Iterator<Item = &Fate> {
-        self.schedule.iter().filter(move |f| f.round == round)
+    /// Scripted transitions applying at the start of `round`, in
+    /// schedule order: a binary-searched slice of the schedule, so the
+    /// cost follows the schedule's length logarithmically, not linearly.
+    #[must_use]
+    pub fn fates_at(&self, round: u64) -> &[Fate] {
+        let start = self.schedule.partition_point(|f| f.round < round);
+        let rest = &self.schedule[start..];
+        &rest[..rest.partition_point(|f| f.round == round)]
     }
 
     /// Inserts one scripted fate into an already-materialized plan,
@@ -288,23 +375,78 @@ impl FailurePlan {
     /// assert_eq!(walk(ProcessId(3)), walk(ProcessId(3)), "replay agrees");
     /// assert_ne!(walk(ProcessId(3)), walk(ProcessId(4)), "streams differ");
     /// ```
+    ///
+    /// The draw keeps the hash's top 53 bits `k` and flips when `k` is
+    /// below the rate's integer threshold `⌈p·2⁵³⌉`, fixed when the plan
+    /// is materialised. That is exactly the float test `k·2⁻⁵³ < p` (see
+    /// the module docs), so rates of 0 and 1 need no special case. This
+    /// is the per-process form of [`churn_sweep`](Self::churn_sweep),
+    /// which both substrates run.
     #[must_use]
     #[inline]
     pub fn churn_flips(&self, pid: ProcessId, round: u64, alive: bool) -> bool {
-        let Some(rates) = self.churn else {
-            return false;
+        self.churn
+            .is_some_and(|c| churn_draw(self.churn_seed, pid.0, round) < c.below(alive))
+    }
+
+    /// Runs the churn draw of `round` over a stripe of statuses — the
+    /// churn kernel both substrates share. `status[i]` belongs to
+    /// process `first + i × stride`; every process whose draw flips it
+    /// has its status toggled and is reported to `flipped` as
+    /// `(i, pid, alive now)`, in ascending `i`. A no-op without churn.
+    ///
+    /// Each process costs one hash and one integer compare: the seed and
+    /// both thresholds are read once per call, and the pid advances by
+    /// wrapping `u32` addition, so the loop has no bounds check and
+    /// nothing that can panic. Pids past `u32::MAX` wrap; both
+    /// substrates bound their population to `u32` at spawn.
+    ///
+    /// ```
+    /// use da_core::failure::FailureModel;
+    /// use da_core::{ProcessId, ProcessStatus};
+    ///
+    /// let plan = FailureModel::Churn {
+    ///     crash_probability: 0.3,
+    ///     recover_probability: 0.3,
+    /// }
+    /// .materialize(9, 7);
+    /// // The stripe of pids 1, 4, 7 (worker 1 of 3), all alive.
+    /// let mut stripe = [ProcessStatus::Alive; 3];
+    /// let mut flips = Vec::new();
+    /// plan.churn_sweep(5, &mut stripe, ProcessId(1), 3, |_, pid, _| flips.push(pid));
+    /// let expected: Vec<ProcessId> = [1, 4, 7]
+    ///     .map(ProcessId)
+    ///     .into_iter()
+    ///     .filter(|&pid| plan.churn_flips(pid, 5, true))
+    ///     .collect();
+    /// assert_eq!(flips, expected);
+    /// ```
+    #[inline]
+    pub fn churn_sweep(
+        &self,
+        round: u64,
+        status: &mut [ProcessStatus],
+        first: ProcessId,
+        stride: u32,
+        mut flipped: impl FnMut(usize, ProcessId, bool),
+    ) {
+        let Some(churn) = self.churn else {
+            return;
         };
-        let p = if alive { rates.crash } else { rates.recover };
-        if p <= 0.0 {
-            return false;
+        let seed = self.churn_seed;
+        let mut pid = first.0;
+        for (slot, s) in status.iter_mut().enumerate() {
+            let alive = s.is_alive();
+            if churn_draw(seed, pid, round) < churn.below(alive) {
+                *s = if alive {
+                    ProcessStatus::Crashed
+                } else {
+                    ProcessStatus::Alive
+                };
+                flipped(slot, ProcessId(pid), !alive);
+            }
+            pid = pid.wrapping_add(stride);
         }
-        if p >= 1.0 {
-            return true;
-        }
-        unit_f64(derive_seed(
-            derive_seed(self.churn_seed, u64::from(pid.0)),
-            round,
-        )) < p
     }
 
     /// True when the plan can ever change a process's liveness after
@@ -319,27 +461,15 @@ impl FailurePlan {
     /// fates first (in schedule order), then the churn draw — and
     /// reports everything a substrate needs to act on them.
     ///
-    /// This is the single authoritative transition step: the
-    /// simulator's `step_round`, the runtime's
-    /// `LifecycleController::begin_tick`, and the [`FailurePlan::alive_at`]
-    /// replay all consume it, so the substrates cannot drift apart.
+    /// This is the per-process reference of a round: the simulator's
+    /// `step_round` and the runtime's `LifecycleController::begin_tick`
+    /// apply the round's [`fates_at`](Self::fates_at) and then
+    /// [`churn_sweep`](Self::churn_sweep) to their whole population or
+    /// stripe, which reaches the same fates, and the
+    /// [`FailurePlan::alive_at`] replay walks this step directly.
     #[must_use]
     #[inline]
     pub fn transition(&self, pid: ProcessId, round: u64, mut alive: bool) -> Transition {
-        // Hot path: no scripted schedule (the common churn-only and
-        // inert plans) — the transition is exactly the churn draw. This
-        // runs once per process per tick on the live workers, so the
-        // scripted-fate scan below must not be paid when there is
-        // nothing to scan.
-        if self.schedule.is_empty() {
-            let flips = self.churn_flips(pid, round, alive);
-            return Transition {
-                alive: alive != flips,
-                recovered: flips && !alive,
-                churn_crashed: flips && alive,
-                churn_recovered: flips && !alive,
-            };
-        }
         let mut came_back = false;
         for fate in self.fates_at(round) {
             if fate.pid == pid {
@@ -410,15 +540,15 @@ impl FailurePlan {
     }
 }
 
-/// Maps a 64-bit hash to a uniform `f64` in `[0, 1)` using the top 53
-/// bits (the full mantissa width, matching the standard conversion).
-fn unit_f64(x: u64) -> f64 {
-    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Maps a 64-bit hash to a uniform `f64` in `[0, 1)` using the top 53
+    /// bits — the float draw the integer thresholds must reproduce.
+    pub(super) fn unit_f64(x: u64) -> f64 {
+        (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
 
     #[test]
     fn none_crashes_nobody() {
@@ -509,9 +639,9 @@ mod tests {
             },
         ])
         .materialize(10, 0);
-        assert_eq!(plan.fates_at(2).count(), 1);
-        assert_eq!(plan.fates_at(5).count(), 2);
-        assert_eq!(plan.fates_at(9).count(), 0);
+        assert_eq!(plan.fates_at(2).len(), 1);
+        assert_eq!(plan.fates_at(5).len(), 2);
+        assert_eq!(plan.fates_at(9).len(), 0);
     }
 
     #[test]
@@ -559,6 +689,44 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "Stillborn::alive_fraction is NaN")]
+    fn stillborn_rejects_nan() {
+        let _ = FailureModel::Stillborn {
+            alive_fraction: f64::NAN,
+        }
+        .materialize(10, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "PerObserver::alive_fraction is NaN")]
+    fn per_observer_rejects_nan() {
+        let _ = FailureModel::PerObserver {
+            alive_fraction: f64::NAN,
+        }
+        .materialize(10, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "Churn::crash_probability is NaN")]
+    fn churn_rejects_nan_crash_probability() {
+        let _ = FailureModel::Churn {
+            crash_probability: f64::NAN,
+            recover_probability: 0.5,
+        }
+        .materialize(10, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "Churn::recover_probability is NaN")]
+    fn churn_rejects_nan_recover_probability() {
+        let _ = FailureModel::Churn {
+            crash_probability: 0.5,
+            recover_probability: f64::NAN,
+        }
+        .materialize(10, 0);
+    }
+
+    #[test]
     fn unit_f64_stays_in_range() {
         for x in [0u64, 1, u64::MAX, 0x8000_0000_0000_0000] {
             let u = unit_f64(x);
@@ -570,6 +738,7 @@ mod tests {
 
 #[cfg(test)]
 mod churn_tests {
+    use super::tests::unit_f64;
     use super::*;
 
     #[test]
@@ -595,7 +764,7 @@ mod churn_tests {
         let rates = plan.churn().unwrap();
         assert_eq!(rates.crash, 1.0);
         assert_eq!(rates.recover, 0.0);
-        // Saturated rates skip the hash entirely.
+        // Saturated rates decide every draw: threshold 2⁵³ and 0.
         assert!(plan.churn_flips(ProcessId(0), 0, true), "crash p = 1");
         assert!(!plan.churn_flips(ProcessId(0), 0, false), "recover p = 0");
     }
@@ -639,6 +808,107 @@ mod churn_tests {
         );
     }
 
+    /// Probabilities at and around the edges of the 53-bit draw grid,
+    /// plus the metropolis crash rate and two interior rates.
+    const EDGE_RATES: [f64; 7] = [
+        0.0,
+        1.0 / DRAW_SCALE,
+        0.0002,
+        0.05,
+        0.5,
+        1.0 - 1.0 / DRAW_SCALE,
+        1.0,
+    ];
+
+    #[test]
+    fn integer_threshold_equals_the_float_draw() {
+        let mut rng = rng_from_seed(0x7E57);
+        for p in EDGE_RATES {
+            let t = threshold(p);
+            // Draws whose top 53 bits sit just below, at and just above
+            // the threshold, with random low bits; then random draws.
+            let mut hashes: Vec<u64> = [t.wrapping_sub(1), t, t + 1]
+                .into_iter()
+                .filter(|&k| k < 1 << 53)
+                .map(|k| (k << 11) | (rng.gen::<u64>() & 0x7FF))
+                .collect();
+            hashes.extend((0..10_000).map(|_| rng.gen::<u64>()));
+            for h in hashes {
+                assert_eq!(
+                    (h >> 11) < t,
+                    unit_f64(h) < p,
+                    "p = {p:e}, threshold {t}, hash {h:#x}"
+                );
+            }
+        }
+        assert_eq!(threshold(0.0), 0, "p = 0 never flips");
+        assert_eq!(threshold(1.0), 1 << 53, "p = 1 always flips");
+    }
+
+    #[test]
+    fn churn_sweep_reproduces_the_float_draw_on_any_stripe() {
+        // The plan-level draw, swept and per process, against the float
+        // formula it replaced, `unit_f64(hash(seed, pid, round)) < p`, on
+        // the simulator's identity stripe and two strided worker stripes.
+        for crash in EDGE_RATES {
+            let recover = 1.0 - crash;
+            let plan = FailureModel::Churn {
+                crash_probability: crash,
+                recover_probability: recover,
+            }
+            .materialize(64, 31);
+            let float = |pid: u32, round: u64, alive: bool| {
+                let h = derive_seed(derive_seed(plan.churn_seed, u64::from(pid)), round);
+                unit_f64(h) < if alive { crash } else { recover }
+            };
+            for (first, stride) in [(0u32, 1u32), (1, 3), (2, 3)] {
+                for round in 0..8 {
+                    // Alternate states so both thresholds are drawn.
+                    let before: Vec<ProcessStatus> = (0..64 / stride)
+                        .map(|i| {
+                            if (i + round as u32).is_multiple_of(2) {
+                                ProcessStatus::Alive
+                            } else {
+                                ProcessStatus::Crashed
+                            }
+                        })
+                        .collect();
+                    let mut stripe = before.clone();
+                    let mut swept = Vec::new();
+                    plan.churn_sweep(
+                        round,
+                        &mut stripe,
+                        ProcessId(first),
+                        stride,
+                        |i, pid, now| {
+                            swept.push((i, pid.0, now));
+                        },
+                    );
+                    let mut expected = Vec::new();
+                    for (i, status) in before.iter().enumerate() {
+                        let (pid, alive) = (first + i as u32 * stride, status.is_alive());
+                        let flips = float(pid, round, alive);
+                        assert_eq!(plan.churn_flips(ProcessId(pid), round, alive), flips);
+                        assert_eq!(stripe[i].is_alive(), alive != flips);
+                        if flips {
+                            expected.push((i, pid, !alive));
+                        }
+                    }
+                    assert_eq!(swept, expected, "p = {crash:e}, stripe {first}/{stride}");
+                }
+            }
+        }
+        // Without churn the sweep touches nothing.
+        let mut stripe = [ProcessStatus::Alive; 4];
+        FailureModel::None.materialize(4, 0).churn_sweep(
+            0,
+            &mut stripe,
+            ProcessId(0),
+            1,
+            |_, _, _| panic!("no churn, no flips"),
+        );
+    }
+
     #[test]
     fn out_of_range_fates_are_dropped_at_materialisation() {
         let plan = FailureModel::Schedule(vec![
@@ -654,7 +924,7 @@ mod churn_tests {
             },
         ])
         .materialize(10, 0);
-        assert_eq!(plan.fates_at(1).count(), 1, "only the valid fate kept");
+        assert_eq!(plan.fates_at(1).len(), 1, "only the valid fate kept");
         assert!(!plan.step_alive(ProcessId(9), 1, true));
     }
 

@@ -18,7 +18,7 @@
 //! process is identical whether its neighbours ever drew or not, and
 //! identical to the eager layout's.
 
-use crate::process::ProcessId;
+use crate::process::{ProcessId, ProcessStatus};
 use crate::seed::rng_for_process;
 use rand::rngs::SmallRng;
 
@@ -137,6 +137,57 @@ impl<P> ProcessStore<P> {
         (&mut self.procs[local], rng)
     }
 
+    /// The hook pass over the slab: every process whose entry in
+    /// `status` is alive, with its pid and a [`LazyRng`] handle, in
+    /// local-index order. `status[i]` is the liveness of local slot `i`,
+    /// whose pid is `first + i × stride`.
+    ///
+    /// Processes, RNG slots and statuses are walked as zipped slices and
+    /// the pid advances by wrapping `u32` addition, so the pass has no
+    /// per-process bounds check and nothing that can panic; once a hook
+    /// that does nothing is inlined, the pass is a scan of the status
+    /// bytes. Pids past `u32::MAX` wrap; both substrates bound their
+    /// population to `u32` at spawn. [`pair_mut`](Self::pair_mut) stays
+    /// the random-access path for deliveries.
+    ///
+    /// ```
+    /// use da_core::store::ProcessStore;
+    /// use da_core::{ProcessId, ProcessStatus};
+    ///
+    /// // Worker 1 of 3: local slots 0, 1, 2 are pids 1, 4, 7.
+    /// let mut store: ProcessStore<&str> = ProcessStore::new(0);
+    /// for name in ["a", "b", "c"] {
+    ///     store.push(name);
+    /// }
+    /// let status = [ProcessStatus::Alive, ProcessStatus::Crashed, ProcessStatus::Alive];
+    /// let visited: Vec<(ProcessId, &str)> = store
+    ///     .alive_mut(&status, ProcessId(1), 3)
+    ///     .map(|(pid, name, _rng)| (pid, *name))
+    ///     .collect();
+    /// assert_eq!(visited, [(ProcessId(1), "a"), (ProcessId(7), "c")]);
+    /// ```
+    pub fn alive_mut<'a>(
+        &'a mut self,
+        status: &'a [ProcessStatus],
+        first: ProcessId,
+        stride: u32,
+    ) -> impl Iterator<Item = (ProcessId, &'a mut P, LazyRng<'a>)> {
+        debug_assert_eq!(status.len(), self.procs.len(), "one status per process");
+        let seed = self.seed;
+        let mut next = first.0;
+        self.procs
+            .iter_mut()
+            .zip(self.rngs.iter_mut())
+            .zip(status)
+            .filter_map(move |((process, slot), status)| {
+                let pid = ProcessId(next);
+                next = next.wrapping_add(stride);
+                status
+                    .is_alive()
+                    .then_some((pid, process, LazyRng { slot, seed, pid }))
+            })
+    }
+
     /// A clone of the process's RNG stream *at its current position*,
     /// without materialising the slot: a stream that never drew is
     /// indistinguishable from one never materialised, so state digests
@@ -245,6 +296,42 @@ mod tests {
         assert_eq!(store.rng_resident(), 1, "no draw, no slot");
         let mut eager = rng_for_process(1, ProcessId(0));
         assert_eq!(store.get(0)[0], eager.gen::<u64>());
+    }
+
+    #[test]
+    fn alive_mut_skips_crashed_slots_and_keeps_streams() {
+        let mut store: ProcessStore<Vec<u64>> = ProcessStore::new(4);
+        for _ in 0..4 {
+            store.push(Vec::new());
+        }
+        let status = [
+            ProcessStatus::Crashed,
+            ProcessStatus::Alive,
+            ProcessStatus::Crashed,
+            ProcessStatus::Alive,
+        ];
+        // Stripe of worker 2 of 5: pids 2, 7, 12, 17.
+        let mut pids = Vec::new();
+        for (pid, state, mut rng) in store.alive_mut(&status, ProcessId(2), 5) {
+            state.push(rng.get().gen());
+            pids.push(pid);
+        }
+        assert_eq!(pids, [ProcessId(7), ProcessId(17)]);
+        assert_eq!(store.rng_resident(), 2, "only the visited slots drew");
+        assert!(store.get(0).is_empty() && store.get(2).is_empty());
+        // Each draw came from the pid's own stream, as via pair_mut.
+        assert_eq!(
+            store.get(1)[0],
+            rng_for_process(4, ProcessId(7)).gen::<u64>()
+        );
+        assert_eq!(
+            store.get(3)[0],
+            rng_for_process(4, ProcessId(17)).gen::<u64>()
+        );
+        let (_, mut rng) = store.pair_mut(1, ProcessId(7));
+        let mut eager = rng_for_process(4, ProcessId(7));
+        let _: u64 = eager.gen();
+        assert_eq!(rng.get().gen::<u64>(), eager.gen::<u64>(), "position kept");
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //!
 //! The controller is deliberately dumb: all randomness lives in the
 //! plan, whose churn draws are stateless `(pid, round)` hashes
-//! ([`FailurePlan::churn_flips`]). Each worker therefore advances the
-//! liveness of its own processes without coordination, and the resulting
-//! fates are **identical** to a single-threaded simulator run over the
-//! same seed, whatever the worker count — the lifecycle analogue of the
-//! transport's per-edge channel streams.
+//! ([`FailurePlan::churn_flips`]), run over the stripe by the plan's own
+//! churn kernel ([`FailurePlan::churn_sweep`]) — the same kernel the
+//! simulator runs over its whole population. Each worker therefore
+//! advances the liveness of its own processes without coordination, and
+//! the resulting fates are **identical** to a single-threaded simulator
+//! run over the same seed, whatever the worker count — the lifecycle
+//! analogue of the transport's per-edge channel streams.
 
 use da_core::failure::FailurePlan;
 use da_core::process::{ProcessId, ProcessStatus};
@@ -80,17 +82,30 @@ pub struct LifecycleController {
     /// Per-worker observation stream of the per-observer model; `None`
     /// when the plan never samples observers.
     observer_rng: Option<SmallRng>,
-    worker: usize,
-    stride: usize,
+    /// Pid of local slot 0 (the worker's id); slot `i` is
+    /// `first + i * stride`.
+    first: ProcessId,
+    stride: u32,
 }
 
 impl LifecycleController {
     /// Builds the controller for the worker owning processes
     /// `worker + i * stride` for `i < owned`, applying the plan's
     /// stillborn fates immediately.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pid of the stripe exceeds `u32::MAX` — checked once
+    /// here, so the per-tick churn pass needs no check.
     #[must_use]
     pub fn new(plan: Arc<FailurePlan>, worker: usize, stride: usize, owned: usize) -> Self {
         let stride = stride.max(1);
+        let first = ProcessId::from_index(worker);
+        let last = owned
+            .saturating_sub(1)
+            .saturating_mul(stride)
+            .saturating_add(worker);
+        let _ = ProcessId::from_index(last);
         // One pass over the plan's crashed list (not one scan per owned
         // process): flip exactly the stillborn pids of this stripe.
         let mut status = vec![ProcessStatus::Alive; owned];
@@ -113,8 +128,10 @@ impl LifecycleController {
             plan,
             status,
             observer_rng,
-            worker,
-            stride,
+            first,
+            // Only the stride between two owned pids matters, and with
+            // two or more slots the last pid bounds it to `u32`.
+            stride: u32::try_from(stride).unwrap_or(u32::MAX),
         }
     }
 
@@ -136,6 +153,13 @@ impl LifecycleController {
     #[must_use]
     pub fn status(&self, slot: usize) -> ProcessStatus {
         self.status[slot]
+    }
+
+    /// The statuses of the whole stripe, indexed by local slot — what
+    /// the worker's hook passes zip with its process slab.
+    #[must_use]
+    pub fn statuses(&self) -> &[ProcessStatus] {
+        &self.status
     }
 
     /// Number of currently alive processes in the stripe.
@@ -171,61 +195,81 @@ impl LifecycleController {
     }
 
     /// Applies the transitions due at the start of `tick` to the owned
-    /// stripe — via the shared authoritative `FailurePlan::transition`
-    /// step, so the resulting fates are exactly the simulator's — and
-    /// reports what changed.
+    /// stripe and reports what changed, reaching exactly the fates of
+    /// the per-process reference `FailurePlan::transition`.
+    ///
+    /// It has the simulator's structure: the tick's scripted fates (a
+    /// slice of the plan's schedule) apply to the stripe's slots they
+    /// name, then the plan's churn kernel sweeps the whole stripe. The
+    /// sweep is the only per-process work, one hash and one integer
+    /// compare each; scripted fates cost what the tick's schedule costs.
     pub fn begin_tick(&mut self, tick: u64) -> LifecycleTransitions {
         let mut out = LifecycleTransitions::default();
-        if !self.plan.has_transitions() {
+        let plan = &*self.plan;
+        if !plan.has_transitions() {
             return out;
         }
-        // This loop runs once per owned process per tick — the single
-        // hottest lifecycle path in the runtime. Hoist the `Arc` deref
-        // out of the loop, and keep the no-schedule common case (churn
-        // or nothing) to a bare draw-and-compare per process with every
-        // piece of bookkeeping behind the rarely-taken flip branch.
-        // Semantically this is exactly `FailurePlan::transition` with an
-        // empty schedule — `churn_fates_are_stripe_independent` below
-        // and the cross-substrate parity suites pin the equivalence.
-        let plan = &*self.plan;
-        let (worker, stride) = (self.worker, self.stride);
-        if plan.schedule().is_empty() {
-            for (slot, status) in self.status.iter_mut().enumerate() {
-                let alive = status.is_alive();
-                let pid = ProcessId::from_index(worker + slot * stride);
-                if plan.churn_flips(pid, tick, alive) {
-                    if alive {
-                        *status = ProcessStatus::Crashed;
-                        out.churn_crashes += 1;
-                        out.crashed.push(slot);
-                    } else {
-                        *status = ProcessStatus::Alive;
-                        out.churn_recoveries += 1;
-                        out.recovered.push(slot);
-                    }
+        let (worker, stride) = (self.first.index(), self.stride as usize);
+        // Slots the scripted fates touched, ascending (the schedule is
+        // sorted by pid within a round): `(slot, alive before the tick,
+        // came back this tick)`.
+        let mut touched: Vec<(usize, bool, bool)> = Vec::new();
+        for fate in plan.fates_at(tick) {
+            let idx = fate.pid.index();
+            if idx % stride != worker {
+                continue;
+            }
+            let slot = idx / stride;
+            let Some(status) = self.status.get_mut(slot) else {
+                continue;
+            };
+            let came_back = !fate.crash && !status.is_alive();
+            match touched.last_mut() {
+                Some(t) if t.0 == slot => t.2 |= came_back,
+                _ => touched.push((slot, status.is_alive(), came_back)),
+            }
+            *status = if fate.crash {
+                ProcessStatus::Crashed
+            } else {
+                ProcessStatus::Alive
+            };
+        }
+        let mut next = 0;
+        plan.churn_sweep(
+            tick,
+            &mut self.status,
+            self.first,
+            self.stride,
+            |slot, _, alive| {
+                if alive {
+                    out.churn_recoveries += 1;
+                } else {
+                    out.churn_crashes += 1;
+                }
+                while touched.get(next).is_some_and(|t| t.0 < slot) {
+                    next += 1;
+                }
+                match touched.get_mut(next) {
+                    // A scripted slot is reported below, from its state
+                    // before the tick and after every transition.
+                    Some(t) if t.0 == slot => t.2 |= alive,
+                    _ if alive => out.recovered.push(slot),
+                    _ => out.crashed.push(slot),
+                }
+            },
+        );
+        if !touched.is_empty() {
+            for (slot, was_alive, came_back) in touched {
+                let alive = self.status[slot].is_alive();
+                if came_back && alive {
+                    out.recovered.push(slot);
+                }
+                if was_alive && !alive {
+                    out.crashed.push(slot);
                 }
             }
-            return out;
-        }
-        for (slot, status) in self.status.iter_mut().enumerate() {
-            let was_alive = status.is_alive();
-            let pid = ProcessId::from_index(worker + slot * stride);
-            let t = plan.transition(pid, tick, was_alive);
-            if t.alive != was_alive {
-                *status = if t.alive {
-                    ProcessStatus::Alive
-                } else {
-                    ProcessStatus::Crashed
-                };
-            }
-            out.churn_crashes += u64::from(t.churn_crashed);
-            out.churn_recoveries += u64::from(t.churn_recovered);
-            if t.recovered {
-                out.recovered.push(slot);
-            }
-            if was_alive && !t.alive {
-                out.crashed.push(slot);
-            }
+            out.recovered.sort_unstable();
+            out.crashed.sort_unstable();
         }
         out
     }

@@ -692,14 +692,17 @@ where
             proc_state.on_recover(&mut ctx);
         }
 
+        // The hook passes walk the stripe's slab (see
+        // `ProcessStore::alive_mut`); spawn bounds every pid to `u32`.
+        let first = self.pid_of(0);
+        let stride = u32::try_from(self.stride).expect("worker count exceeds u32::MAX");
         if !self.started {
             self.started = true;
-            for i in 0..self.store.len() {
-                if !self.lifecycle.is_alive(i) {
-                    continue; // stillborn (or crashed at tick 0)
-                }
-                let me = self.pid_of(i);
-                let (proc_state, rng) = self.store.pair_mut(i, me);
+            // Stillborn processes (and any crashed at tick 0) are skipped.
+            let alive = self
+                .store
+                .alive_mut(self.lifecycle.statuses(), first, stride);
+            for (me, proc_state, rng) in alive {
                 let mut ctx = LiveCtx {
                     me,
                     tick,
@@ -750,12 +753,10 @@ where
         }
 
         // Round hooks for alive processes, in pid order within the stripe.
-        for i in 0..self.store.len() {
-            if !self.lifecycle.is_alive(i) {
-                continue;
-            }
-            let me = self.pid_of(i);
-            let (proc_state, rng) = self.store.pair_mut(i, me);
+        let alive = self
+            .store
+            .alive_mut(self.lifecycle.statuses(), first, stride);
+        for (me, proc_state, rng) in alive {
             let mut ctx = LiveCtx {
                 me,
                 tick,

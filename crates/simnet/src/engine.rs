@@ -296,9 +296,19 @@ impl<P: Protocol> Engine<P> {
     ///
     /// The failure model is materialised immediately: stillborn processes
     /// are crashed before round 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the population exceeds `u32::MAX + 1` processes (ids are
+    /// `u32`; checked once here, so the per-round passes need no check),
+    /// or if the failure model carries a NaN probability (see
+    /// [`FailureModel::materialize`]).
     #[must_use]
     pub fn new(config: SimConfig, processes: Vec<P>) -> Self {
         let population = processes.len();
+        if let Some(last) = population.checked_sub(1) {
+            let _ = ProcessId::from_index(last);
+        }
         let plan = config.faults.failure.materialize(population, config.seed);
         let mut status = vec![ProcessStatus::Alive; population];
         for pid in plan.initially_crashed() {
@@ -509,9 +519,8 @@ impl<P: Protocol> Engine<P> {
         };
 
         // Scripted fates apply at the start of the round.
-        let fates: Vec<_> = self.plan.fates_at(round).copied().collect();
         let mut recovered: Vec<usize> = Vec::new();
-        for fate in fates {
+        for fate in self.plan.fates_at(round) {
             let i = fate.pid.index();
             let was_alive = self.status[i].is_alive();
             if fate.crash {
@@ -540,40 +549,24 @@ impl<P: Protocol> Engine<P> {
             }
         }
 
-        // Continuous churn: stateless per-(pid, round) draws from the
-        // shared plan — the exact fates the live runtime reproduces.
-        if self.plan.churn().is_some() {
-            for i in 0..self.status.len() {
-                let alive = self.status[i].is_alive();
-                if self
-                    .plan
-                    .churn_flips(ProcessId::from_index(i), round, alive)
-                {
-                    if alive {
-                        self.status[i] = ProcessStatus::Crashed;
-                        self.counters.add(self.hot.churn_crashes, 1);
-                        if let Some(t) = self.trace.as_mut() {
-                            t.recorder.record(TraceEvent::lifecycle(
-                                round,
-                                ProcessId::from_index(i),
-                                TraceVerdict::Crashed,
-                            ));
-                        }
-                    } else {
-                        self.status[i] = ProcessStatus::Alive;
-                        self.counters.add(self.hot.churn_recoveries, 1);
-                        recovered.push(i);
-                        if let Some(t) = self.trace.as_mut() {
-                            t.recorder.record(TraceEvent::lifecycle(
-                                round,
-                                ProcessId::from_index(i),
-                                TraceVerdict::Recovered,
-                            ));
-                        }
-                    }
+        // Continuous churn: the plan's churn kernel, stateless
+        // per-(pid, round) draws — the exact fates the live runtime's
+        // stripes reproduce with the same kernel.
+        self.plan
+            .churn_sweep(round, &mut self.status, ProcessId(0), 1, |i, pid, alive| {
+                let verdict = if alive {
+                    self.counters.add(self.hot.churn_recoveries, 1);
+                    recovered.push(i);
+                    TraceVerdict::Recovered
+                } else {
+                    self.counters.add(self.hot.churn_crashes, 1);
+                    TraceVerdict::Crashed
+                };
+                if let Some(t) = self.trace.as_mut() {
+                    t.recorder
+                        .record(TraceEvent::lifecycle(round, pid, verdict));
                 }
-            }
-        }
+            });
 
         let mut outbox: Vec<(ProcessId, P::Msg)> = Vec::new();
 
@@ -614,12 +607,7 @@ impl<P: Protocol> Engine<P> {
 
         if !self.started {
             self.started = true;
-            for i in 0..self.store.len() {
-                if !self.status[i].is_alive() {
-                    continue;
-                }
-                let me = ProcessId::from_index(i);
-                let (proc_state, rng) = self.store.pair_mut(i, me);
+            for (me, proc_state, rng) in self.store.alive_mut(&self.status, ProcessId(0), 1) {
                 let mut ctx = Ctx {
                     me,
                     round,
@@ -678,13 +666,9 @@ impl<P: Protocol> Engine<P> {
             }
         }
 
-        // Round hooks for alive processes, in pid order.
-        for i in 0..self.store.len() {
-            if !self.status[i].is_alive() {
-                continue;
-            }
-            let me = ProcessId::from_index(i);
-            let (proc_state, rng) = self.store.pair_mut(i, me);
+        // Round hooks for alive processes, in pid order: one pass over
+        // the slab (see `ProcessStore::alive_mut`).
+        for (me, proc_state, rng) in self.store.alive_mut(&self.status, ProcessId(0), 1) {
             let mut ctx = Ctx {
                 me,
                 round,
